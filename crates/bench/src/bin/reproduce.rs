@@ -38,7 +38,9 @@
 //! under the load generator, tripwiring on any failed monitor call, on
 //! targeted-mode wakeups exceeding the implicit engine's, and on the fast
 //! path never avoiding a wakeup. `json` additionally tripwires when suite
-//! analysis dispatches zero abduction tasks onto the shared scheduler.
+//! analysis dispatches zero abduction tasks onto the shared scheduler, and
+//! when the theory check gives up anywhere in the suite (a size bail-out or
+//! a Fourier–Motzkin run that is too large).
 //!
 //! `persist` (also folded into `json` as the `persistence` section) is the
 //! warm-start gate: a seeded generated corpus (`REPRO_CORPUS_SIZE` monitors,
@@ -252,6 +254,11 @@ struct SharedArenaProfile {
     arena_lock_contentions: usize,
     wp_cache_hits: usize,
     wp_cache_misses: usize,
+    /// Theory checks reported consistent only because the literal set was
+    /// too large for Cooper's procedure.
+    theory_bailouts: usize,
+    /// Fourier–Motzkin runs that gave up (size limit or `i64` overflow).
+    fm_too_large: usize,
 }
 
 /// Runs every suite benchmark through a single shared arena + solver, verifying
@@ -298,6 +305,8 @@ fn profile_shared_arena() -> SharedArenaProfile {
         arena_lock_contentions: arena.lock_contentions,
         wp_cache_hits,
         wp_cache_misses,
+        theory_bailouts: totals.theory_bailouts,
+        fm_too_large: totals.fm_too_large,
     }
 }
 
@@ -1185,7 +1194,8 @@ fn render_json(
          \"cross_monitor_cache_hits\": {},\n    \"cross_monitor_hit_rate\": {:.4},\n    \
          \"formula_nodes\": {},\n    \"interner_shards\": {},\n    \
          \"arena_lock_contentions\": {},\n    \"wp_cache_hits\": {},\n    \
-         \"wp_cache_misses\": {}\n  }},\n",
+         \"wp_cache_misses\": {},\n    \"theory_bailouts\": {},\n    \
+         \"fm_too_large\": {}\n  }},\n",
         shared.total_ms,
         shared.total_hits,
         shared.cross_analysis_hits,
@@ -1195,6 +1205,8 @@ fn render_json(
         shared.arena_lock_contentions,
         shared.wp_cache_hits,
         shared.wp_cache_misses,
+        shared.theory_bailouts,
+        shared.fm_too_large,
     );
     let per_worker = suite
         .scheduler
@@ -1733,6 +1745,18 @@ fn run_json() {
         eprintln!(
             "error: suite run reported zero WP-cache hits; the (body, post) \
              memo layer is not sharing work"
+        );
+        std::process::exit(1);
+    }
+    // Theory-completeness tripwire: over the suite the theory check must
+    // never give up. A size bail-out reports a literal set consistent
+    // without proof (an extra signal at worst), and a Fourier–Motzkin run
+    // that hits its size limit or overflows `i64` decides nothing.
+    if shared.theory_bailouts > 0 || shared.fm_too_large > 0 {
+        eprintln!(
+            "error: the theory check gave up over the suite: {} size bail-out(s), \
+             {} Fourier-Motzkin run(s) too large",
+            shared.theory_bailouts, shared.fm_too_large
         );
         std::process::exit(1);
     }

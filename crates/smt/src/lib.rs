@@ -13,9 +13,12 @@
 //! 2. [`cooper`] — Cooper's quantifier-elimination procedure for Presburger
 //!    arithmetic, used both to remove quantifiers before ground solving and as
 //!    the complete integer feasibility check.
-//! 3. [`fourier_motzkin`] — a rational-relaxation feasibility pre-check; a
-//!    rationally infeasible conjunction is integer-infeasible, which avoids
-//!    running Cooper on the common easy cases.
+//! 3. [`fourier_motzkin`] — a rational-relaxation feasibility pre-check over
+//!    dense variable slots; a rationally infeasible conjunction is
+//!    integer-infeasible, which avoids running Cooper on the common easy
+//!    cases. Every derived row carries the literal groups it came from, so
+//!    a contradiction names an infeasible subset (a Farkas certificate) that
+//!    guides conflict-core minimisation.
 //! 4. [`sat`] — a small DPLL SAT solver over CNF produced by Tseitin encoding.
 //! 5. [`solver`] — the DPLL(T) loop: boolean abstraction of the atoms, SAT
 //!    enumeration of propositional models, theory consistency of the implied
@@ -53,6 +56,7 @@ pub mod fourier_motzkin;
 pub mod linear;
 pub mod sat;
 pub mod solver;
+mod theory;
 
 pub use linear::{LinExpr, TranslateError};
 pub use solver::{

@@ -1,12 +1,14 @@
 //! The lazy DPLL(T) driver: boolean abstraction, SAT enumeration, theory checks.
 
 use crate::cooper;
-use crate::fourier_motzkin::{rational_feasible, Constraint, RationalFeasibility};
+use crate::fourier_motzkin::{Feasibility, FourierMotzkin, GroupSet};
 use crate::linear::{LinExpr, TranslateError};
 use crate::sat::{neg, pos, Lit, SatOutcome, SatSolver};
-use expresso_logic::{CmpOp, Formula, FormulaId, Ident, Interner, Term, Valuation};
+use crate::theory::{candidate_values, TheoryAtoms};
+use expresso_logic::{Formula, FormulaId, Ident, Interner, Valuation};
+use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -94,6 +96,13 @@ pub struct SolverStats {
     pub quantifier_eliminations: usize,
     /// Conflicts detected by the Fourier–Motzkin rational pre-check alone.
     pub fm_fast_conflicts: usize,
+    /// Fourier–Motzkin runs that gave up ([`SolverConfig::fourier_motzkin_limit`]
+    /// exceeded, or a row combination overflowed `i64`).
+    pub fm_too_large: usize,
+    /// Theory checks that found neither a conflict nor a model and were
+    /// reported consistent because the literal set was too large for
+    /// Cooper's procedure (more than 6 variables or size above 160).
+    pub theory_bailouts: usize,
     /// Queries where non-linear or array atoms were abstracted as opaque booleans.
     pub abstracted_queries: usize,
 }
@@ -147,6 +156,8 @@ impl SolverStats {
                 self.quantifier_eliminations as u64,
             ),
             Metric::counter("fm_fast_conflicts", self.fm_fast_conflicts as u64),
+            Metric::counter("fm_too_large", self.fm_too_large as u64),
+            Metric::counter("theory_bailouts", self.theory_bailouts as u64),
             Metric::counter("abstracted_queries", self.abstracted_queries as u64),
             Metric::gauge("cache_hit_rate", self.cache_hit_rate()),
             Metric::gauge("cross_analysis_hit_rate", self.cross_analysis_hit_rate()),
@@ -187,6 +198,8 @@ impl SolverStats {
             fm_fast_conflicts: self
                 .fm_fast_conflicts
                 .saturating_sub(earlier.fm_fast_conflicts),
+            fm_too_large: self.fm_too_large.saturating_sub(earlier.fm_too_large),
+            theory_bailouts: self.theory_bailouts.saturating_sub(earlier.theory_bailouts),
             abstracted_queries: self
                 .abstracted_queries
                 .saturating_sub(earlier.abstracted_queries),
@@ -277,6 +290,8 @@ struct StatsCells {
     theory_checks: AtomicUsize,
     quantifier_eliminations: AtomicUsize,
     fm_fast_conflicts: AtomicUsize,
+    fm_too_large: AtomicUsize,
+    theory_bailouts: AtomicUsize,
     abstracted_queries: AtomicUsize,
 }
 
@@ -299,6 +314,8 @@ impl StatsCells {
             theory_checks: load(&self.theory_checks),
             quantifier_eliminations: load(&self.quantifier_eliminations),
             fm_fast_conflicts: load(&self.fm_fast_conflicts),
+            fm_too_large: load(&self.fm_too_large),
+            theory_bailouts: load(&self.theory_bailouts),
             abstracted_queries: load(&self.abstracted_queries),
         }
     }
@@ -959,15 +976,24 @@ impl Solver {
 
         // Intern every theory atom once per query; ids key the theory-verdict
         // cache and carry conflict cores between queries.
-        let theory_atom_ids: HashMap<usize, FormulaId> = atoms
+        let theory_formulas: Vec<Option<&Formula>> = atoms
             .atoms
             .iter()
-            .enumerate()
-            .filter_map(|(idx, atom)| match atom {
-                AtomKind::Theory(f) => Some((idx, self.interner.intern(f))),
+            .map(|atom| match atom {
+                AtomKind::Theory(f) => Some(f),
                 _ => None,
             })
             .collect();
+        let theory_atom_ids: Vec<(usize, FormulaId)> = theory_formulas
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, f)| f.map(|f| (idx, self.interner.intern(f))))
+            .collect();
+        let mut theory = TheoryQuery {
+            formulas: &theory_formulas,
+            dense: OnceCell::new(),
+            fm: FourierMotzkin::new(self.config.fourier_motzkin_limit),
+        };
 
         for _ in 0..self.config.max_theory_rounds {
             bump(&self.stats.sat_solver_calls);
@@ -976,17 +1002,15 @@ impl Solver {
                 SatOutcome::Sat(m) => m,
             };
             bump(&self.stats.theory_checks);
-            let theory_literals: Vec<TheoryLit> = atoms
-                .theory_literals(&model)
-                .into_iter()
-                .map(|(idx, value, atom)| TheoryLit {
+            let theory_literals: Vec<TheoryLit> = theory_atom_ids
+                .iter()
+                .map(|&(idx, id)| TheoryLit {
                     idx,
-                    value,
-                    id: theory_atom_ids[&idx],
-                    atom,
+                    value: model.get(idx).copied().unwrap_or(false),
+                    id,
                 })
                 .collect();
-            match self.theory_consistent(&theory_literals) {
+            match self.theory_consistent(&theory_literals, &mut theory) {
                 TheoryVerdict::Consistent => {
                     return SatResult::Sat(self.extract_model(nnf, &atoms, &model));
                 }
@@ -1042,7 +1066,7 @@ impl Solver {
     /// blocking-clause loop re-derives heavily overlapping sets both within
     /// and across queries, so verdicts are memoized keyed on the sorted
     /// interned literals.
-    fn theory_consistent(&self, literals: &[TheoryLit]) -> TheoryVerdict {
+    fn theory_consistent(&self, literals: &[TheoryLit], theory: &mut TheoryQuery) -> TheoryVerdict {
         if literals.is_empty() {
             return TheoryVerdict::Consistent;
         }
@@ -1072,7 +1096,7 @@ impl Solver {
         } else {
             None
         };
-        let verdict = self.theory_consistent_uncached(literals);
+        let verdict = self.theory_consistent_uncached(literals, theory);
         if let Some(registration) = registration {
             bump(&self.stats.theory_cache_misses);
             registration.complete(verdict.clone(), epoch);
@@ -1080,52 +1104,68 @@ impl Solver {
         verdict
     }
 
-    fn theory_consistent_uncached(&self, literals: &[TheoryLit]) -> TheoryVerdict {
+    fn theory_consistent_uncached(
+        &self,
+        literals: &[TheoryLit],
+        theory: &mut TheoryQuery,
+    ) -> TheoryVerdict {
         let _span = expresso_obs::span!("smt.theory");
-        // Fast path: rational relaxation via Fourier–Motzkin. Constraints are
-        // kept grouped per literal so an infeasible system can be shrunk to a
-        // minimal core for blocking.
-        let mut groups: Vec<(usize, Vec<Constraint>)> = Vec::new();
-        for (pos, lit) in literals.iter().enumerate() {
-            if let Some(cs) = literal_constraints(&lit.atom, lit.value) {
-                groups.push((pos, cs));
+        // Fast path: rational relaxation via Fourier–Motzkin. Each convex
+        // literal is one group of rows, so an infeasible system comes with a
+        // certificate naming the groups it needs, and shrinks to a minimal
+        // core for blocking.
+        let dense = theory
+            .dense
+            .get_or_init(|| TheoryAtoms::new(theory.formulas));
+        let (positions, groups): (Vec<usize>, Vec<_>) = literals
+            .iter()
+            .enumerate()
+            .filter_map(|(pos, lit)| Some((pos, dense.literal_rows(lit.idx, lit.value)?)))
+            .unzip();
+        if !groups.is_empty() {
+            let rows = dense.rows();
+            let verdict = theory
+                .fm
+                .check(rows, &groups, &GroupSet::full(groups.len()));
+            let core = match verdict {
+                Feasibility::Infeasible(certificate) => {
+                    Some(theory.fm.minimal_core(rows, &groups, certificate))
+                }
+                Feasibility::Feasible | Feasibility::TooLarge => None,
+            };
+            self.stats
+                .fm_too_large
+                .fetch_add(theory.fm.take_too_large(), Ordering::Relaxed);
+            if let Some(core) = core {
+                bump(&self.stats.fm_fast_conflicts);
+                let core = core
+                    .into_iter()
+                    .map(|g| {
+                        let lit = &literals[positions[g]];
+                        (lit.id, lit.value)
+                    })
+                    .collect();
+                return TheoryVerdict::Inconsistent(Some(core));
             }
         }
-        if !groups.is_empty() {
-            let constraints: Vec<Constraint> = groups
-                .iter()
-                .flat_map(|(_, cs)| cs.iter().cloned())
-                .collect();
-            match rational_feasible(&constraints, self.config.fourier_motzkin_limit) {
-                RationalFeasibility::Infeasible => {
-                    bump(&self.stats.fm_fast_conflicts);
-                    let core = self
-                        .minimize_core(&groups)
-                        .into_iter()
-                        .map(|pos| (literals[pos].id, literals[pos].value))
-                        .collect();
-                    return TheoryVerdict::Inconsistent(Some(core));
-                }
-                RationalFeasibility::Feasible | RationalFeasibility::TooLarge => {}
-            }
+        // Cheap completeness attempt: a concrete integer witness found by
+        // bounded search proves consistency without quantifier elimination.
+        if dense.has_grid_model(literals.iter().map(|l| (l.idx, l.value))) {
+            return TheoryVerdict::Consistent;
         }
         let conjunction = Formula::and(
             literals
                 .iter()
                 .map(|l| {
+                    let atom = theory.formulas[l.idx].expect("a theory atom").clone();
                     if l.value {
-                        l.atom.clone()
+                        atom
                     } else {
-                        Formula::not(l.atom.clone())
+                        Formula::not(atom)
                     }
                 })
                 .collect(),
         );
-        // Cheap completeness attempt: a concrete integer witness found by
-        // bounded search proves consistency without quantifier elimination.
-        if let Some(_witness) = self.bounded_int_model(&conjunction) {
-            return TheoryVerdict::Consistent;
-        }
         // Complete check: existentially quantify every integer variable and
         // run Cooper's procedure; the result is ground. Guard against blow-up
         // on very large literal sets: conservatively report "consistent",
@@ -1133,6 +1173,7 @@ impl Solver {
         // the generated monitor.
         let vars: Vec<Ident> = conjunction.int_vars().into_iter().collect();
         if vars.len() > 6 || conjunction.size() > 160 {
+            bump(&self.stats.theory_bailouts);
             return TheoryVerdict::Consistent;
         }
         let closed = Formula::exists(vars, conjunction);
@@ -1144,84 +1185,6 @@ impl Solver {
                 "quantifier elimination left a non-ground residue: {other}"
             )),
             Err(e) => TheoryVerdict::Unknown(e.to_string()),
-        }
-    }
-
-    /// Greedily shrinks an FM-infeasible set of per-literal constraint groups
-    /// to a minimal core: dropping any remaining group makes the system
-    /// rationally feasible. Rational infeasibility implies integer
-    /// infeasibility, so blocking just the core is sound — and the short
-    /// clause prunes every propositional model containing the core, which
-    /// collapses the DPLL(T) model-enumeration loop from thousands of rounds
-    /// to a handful.
-    ///
-    /// Returns positions into the original literal slice.
-    fn minimize_core(&self, groups: &[(usize, Vec<Constraint>)]) -> Vec<usize> {
-        let mut active = vec![true; groups.len()];
-        for i in 0..groups.len() {
-            active[i] = false;
-            let remaining: Vec<Constraint> = groups
-                .iter()
-                .zip(&active)
-                .filter(|(_, &keep)| keep)
-                .flat_map(|((_, cs), _)| cs.iter().cloned())
-                .collect();
-            if !matches!(
-                rational_feasible(&remaining, self.config.fourier_motzkin_limit),
-                RationalFeasibility::Infeasible
-            ) {
-                // The group is needed for infeasibility; keep it.
-                active[i] = true;
-            }
-        }
-        groups
-            .iter()
-            .zip(&active)
-            .filter(|(_, &keep)| keep)
-            .map(|((pos, _), _)| *pos)
-            .collect()
-    }
-
-    /// Bounded search for an integer model of a quantifier-free conjunction of
-    /// theory literals (no boolean variables). Returns a witness when found.
-    fn bounded_int_model(&self, conjunction: &Formula) -> Option<Valuation> {
-        let vars: Vec<Ident> = {
-            let mut v: Vec<Ident> = conjunction.int_vars().into_iter().collect();
-            v.sort();
-            v
-        };
-        if vars.is_empty() {
-            return match Valuation::new().eval(conjunction) {
-                Ok(true) => Some(Valuation::new()),
-                _ => None,
-            };
-        }
-        let candidates = candidate_values(conjunction);
-        let total = candidates.len().checked_pow(vars.len() as u32)?;
-        if total > 4096 {
-            return None;
-        }
-        let mut indices = vec![0usize; vars.len()];
-        loop {
-            let mut attempt = Valuation::new();
-            for (var, &i) in vars.iter().zip(indices.iter()) {
-                attempt.set_int(var.clone(), candidates[i]);
-            }
-            if attempt.eval(conjunction) == Ok(true) {
-                return Some(attempt);
-            }
-            let mut pos = 0;
-            loop {
-                if pos == indices.len() {
-                    return None;
-                }
-                indices[pos] += 1;
-                if indices[pos] < candidates.len() {
-                    break;
-                }
-                indices[pos] = 0;
-                pos += 1;
-            }
         }
     }
 
@@ -1299,14 +1262,22 @@ impl Solver {
 }
 
 /// One theory literal of a candidate propositional model: the atom's index in
-/// the query's atom table, its assigned polarity, its interned id (stable
-/// across queries — used for cache keys and conflict cores) and the atom
-/// itself.
+/// the query's atom table, its assigned polarity and its interned id (stable
+/// across queries — used for cache keys and conflict cores).
 struct TheoryLit {
     idx: usize,
     value: bool,
     id: FormulaId,
-    atom: Formula,
+}
+
+/// What every theory check of one DPLL(T) query shares: the atom formulas
+/// (indexed like the atom table, `None` for non-theory atoms), their dense
+/// translation (made on the first check the memo table does not answer),
+/// and the Fourier–Motzkin engine whose buffers the checks reuse.
+struct TheoryQuery<'q> {
+    formulas: &'q [Option<&'q Formula>],
+    dense: OnceCell<TheoryAtoms>,
+    fm: FourierMotzkin,
 }
 
 /// Verdict of a theory-consistency check over a conjunction of literals.
@@ -1324,54 +1295,6 @@ pub enum TheoryVerdict {
     Inconsistent(Option<Vec<(FormulaId, bool)>>),
     /// The check left the decidable fragment or exceeded a budget.
     Unknown(String),
-}
-
-/// Candidate integer values for model search: every constant in the formula,
-/// its neighbours, and a small default window.
-fn candidate_values(formula: &Formula) -> Vec<i64> {
-    let mut values: BTreeSet<i64> = (-3..=3).collect();
-    collect_constants(formula, &mut values);
-    values.into_iter().collect()
-}
-
-fn collect_constants(formula: &Formula, out: &mut BTreeSet<i64>) {
-    fn from_term(term: &Term, out: &mut BTreeSet<i64>) {
-        match term {
-            Term::Int(v) => {
-                out.insert(*v);
-                out.insert(v.saturating_add(1));
-                out.insert(v.saturating_sub(1));
-            }
-            Term::Var(_) => {}
-            Term::Add(parts) => parts.iter().for_each(|p| from_term(p, out)),
-            Term::Sub(a, b) | Term::Mul(a, b) => {
-                from_term(a, out);
-                from_term(b, out);
-            }
-            Term::Neg(a) => from_term(a, out),
-            Term::Select(_, idx) => from_term(idx, out),
-        }
-    }
-    match formula {
-        Formula::True | Formula::False | Formula::BoolVar(_) => {}
-        Formula::Cmp(_, lhs, rhs) => {
-            from_term(lhs, out);
-            from_term(rhs, out);
-        }
-        Formula::Divides(d, t) => {
-            out.insert(*d as i64);
-            from_term(t, out);
-        }
-        Formula::Not(inner) => collect_constants(inner, out),
-        Formula::And(parts) | Formula::Or(parts) => {
-            parts.iter().for_each(|p| collect_constants(p, out))
-        }
-        Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            collect_constants(a, out);
-            collect_constants(b, out);
-        }
-        Formula::Quant(_, _, body) => collect_constants(body, out),
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -1409,21 +1332,6 @@ impl AtomTable {
         self.atoms.push(kind);
         self.index.insert(key, idx);
         idx
-    }
-
-    /// Returns `(atom index, assigned value, positive atom formula)` for every
-    /// theory atom in the propositional model.
-    fn theory_literals(&self, model: &[bool]) -> Vec<(usize, bool, Formula)> {
-        self.atoms
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, atom)| match atom {
-                AtomKind::Theory(f) => {
-                    Some((idx, model.get(idx).copied().unwrap_or(false), f.clone()))
-                }
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -1557,33 +1465,6 @@ fn encode(skeleton: &Skeleton, sat: &mut SatSolver) -> Encoded {
             }
             Encoded::Lit(pos(g))
         }
-    }
-}
-
-/// Converts a theory literal into Fourier–Motzkin constraints (`None` when the
-/// literal is non-convex, e.g. a disequality).
-fn literal_constraints(atom: &Formula, value: bool) -> Option<Vec<Constraint>> {
-    match atom {
-        Formula::Cmp(op, lhs, rhs) => {
-            let e = LinExpr::from_term(lhs)
-                .ok()?
-                .sub(&LinExpr::from_term(rhs).ok()?);
-            let op = if value { *op } else { op.negate() };
-            Some(match op {
-                CmpOp::Le => vec![Constraint::le_zero(e)],
-                CmpOp::Lt => vec![Constraint::lt_zero(e)],
-                CmpOp::Ge => vec![Constraint::le_zero(e.scale(-1))],
-                CmpOp::Gt => vec![Constraint::lt_zero(e.scale(-1))],
-                CmpOp::Eq => vec![
-                    Constraint::le_zero(e.clone()),
-                    Constraint::le_zero(e.scale(-1)),
-                ],
-                CmpOp::Ne => return None,
-            })
-        }
-        // Divisibility is ignored by the rational relaxation.
-        Formula::Divides(..) => None,
-        _ => None,
     }
 }
 

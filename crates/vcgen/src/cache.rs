@@ -31,7 +31,11 @@
 //!
 //! The store is hash-striped like the solver's memo caches so parallel
 //! placement workers do not serialize on a single mutex, and statistics are
-//! relaxed atomics. One store is only ever valid for **one formula arena**:
+//! relaxed atomics. Like the solver's caches, each stripe also tracks the
+//! keys being computed right now: a worker that asks for an in-flight key
+//! waits for it instead of computing it a second time, so a pool run
+//! computes every entry exactly once and reports the sequential hit and
+//! miss counts. One store is only ever valid for **one formula arena**:
 //! the cached [`FormulaId`]s are only meaningful in the arena that minted
 //! them. `SharedAnalysisContext` therefore owns one store next to its arena
 //! and hands a fresh session to every analysis.
@@ -40,10 +44,10 @@ use crate::wp::WpError;
 use expresso_logic::FormulaId;
 use expresso_monitor_lang::{Stmt, Type, VarTable};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 const WP_CACHE_SHARDS: usize = 16;
 
@@ -73,6 +77,73 @@ pub type WpExportEntry = (
 /// entry). The statement level lets lookups borrow the caller's `&Stmt`
 /// instead of cloning it per query; the clone happens once, on first insert.
 type WpShard = HashMap<LoweringFingerprint, HashMap<Stmt, HashMap<FormulaId, WpEntry>>>;
+
+/// A store key: `(fingerprint, statement, post-id)`.
+type WpKey = (LoweringFingerprint, Stmt, FormulaId);
+
+/// One stripe's state: the memo table plus the keys whose values some
+/// thread is computing right now.
+#[derive(Debug, Default)]
+struct StripeState {
+    map: WpShard,
+    inflight: HashSet<WpKey>,
+}
+
+#[derive(Debug, Default)]
+struct Stripe {
+    state: Mutex<StripeState>,
+    /// Signalled whenever an in-flight computation completes (or aborts).
+    ready: Condvar,
+}
+
+/// Outcome of [`WpStore::begin`].
+enum Lookup<'s> {
+    /// The entry was cached, possibly after waiting out another worker's
+    /// computation of it.
+    Hit(WpEntry),
+    /// The key is cold and now registered in-flight: the caller computes
+    /// the value and calls [`InFlight::complete`].
+    Compute(InFlight<'s>),
+}
+
+/// Registration token for a cold key. Dropping it without completing (a
+/// panicking computation) deregisters the key and wakes the waiters, which
+/// then race to compute it themselves.
+struct InFlight<'s> {
+    store: &'s WpStore,
+    key: Option<WpKey>,
+}
+
+impl InFlight<'_> {
+    /// Publishes the computed entry and wakes every worker waiting on it.
+    fn complete(mut self, entry: WpEntry) {
+        let key = self.key.take().expect("completed only once");
+        let stripe = self.store.stripe(&key.0, &key.1);
+        let mut state = stripe.state.lock().unwrap();
+        state.inflight.remove(&key);
+        let (fingerprint, stmt, post) = key;
+        state
+            .map
+            .entry(fingerprint)
+            .or_default()
+            .entry(stmt)
+            .or_default()
+            .insert(post, entry);
+        stripe.ready.notify_all();
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        if let Some(key) = self.key.take() {
+            let stripe = self.store.stripe(&key.0, &key.1);
+            // Never panic in drop: deregistering is valid on a poisoned lock.
+            let mut state = stripe.state.lock().unwrap_or_else(PoisonError::into_inner);
+            state.inflight.remove(&key);
+            stripe.ready.notify_all();
+        }
+    }
+}
 
 /// The exact slice of a symbol table that `wp(stmt, _)` consults: the sorted
 /// `(variable, type)` pairs of every variable the statement reads or writes
@@ -188,9 +259,13 @@ impl WpCounters {
 #[derive(Debug)]
 pub struct WpStore {
     enabled: bool,
-    shards: Box<[Mutex<WpShard>]>,
+    shards: Box<[Stripe]>,
     counters: WpCounters,
     next_session: AtomicU32,
+    /// Lookups that waited for an in-flight computation (lets tests order
+    /// a race deterministically).
+    #[cfg(test)]
+    waits: AtomicUsize,
 }
 
 impl Default for WpStore {
@@ -206,11 +281,13 @@ impl WpStore {
         WpStore {
             enabled,
             shards: (0..WP_CACHE_SHARDS)
-                .map(|_| Mutex::default())
+                .map(|_| Stripe::default())
                 .collect::<Vec<_>>()
                 .into(),
             counters: WpCounters::default(),
             next_session: AtomicU32::new(0),
+            #[cfg(test)]
+            waits: AtomicUsize::new(0),
         }
     }
 
@@ -236,7 +313,7 @@ impl WpStore {
         self.counters.snapshot()
     }
 
-    fn shard(&self, fingerprint: &LoweringFingerprint, stmt: &Stmt) -> &Mutex<WpShard> {
+    fn stripe(&self, fingerprint: &LoweringFingerprint, stmt: &Stmt) -> &Stripe {
         // DefaultHasher::new() is deterministic within a process, matching
         // the shard selectors of every other memo table in the workspace.
         let mut hasher = DefaultHasher::new();
@@ -245,36 +322,34 @@ impl WpStore {
         &self.shards[hasher.finish() as usize % self.shards.len()]
     }
 
-    fn lookup(
-        &self,
-        fingerprint: &LoweringFingerprint,
-        stmt: &Stmt,
-        post: FormulaId,
-    ) -> Option<WpEntry> {
-        self.shard(fingerprint, stmt)
-            .lock()
-            .unwrap()
-            .get(fingerprint)
-            .and_then(|by_stmt| by_stmt.get(stmt))
-            .and_then(|by_post| by_post.get(&post))
-            .cloned()
-    }
-
-    fn insert(
-        &self,
-        fingerprint: &LoweringFingerprint,
-        stmt: &Stmt,
-        post: FormulaId,
-        entry: WpEntry,
-    ) {
-        self.shard(fingerprint, stmt)
-            .lock()
-            .unwrap()
-            .entry(Arc::clone(fingerprint))
-            .or_default()
-            .entry(stmt.clone())
-            .or_default()
-            .insert(post, entry);
+    /// Looks the key up, waiting out a racing in-flight computation; on a
+    /// cold key, registers the caller as its computing thread.
+    fn begin(&self, fingerprint: &LoweringFingerprint, stmt: &Stmt, post: FormulaId) -> Lookup<'_> {
+        let stripe = self.stripe(fingerprint, stmt);
+        let mut state = stripe.state.lock().unwrap();
+        let mut key: Option<WpKey> = None;
+        loop {
+            let cached = state
+                .map
+                .get(fingerprint)
+                .and_then(|by_stmt| by_stmt.get(stmt))
+                .and_then(|by_post| by_post.get(&post));
+            if let Some(entry) = cached {
+                return Lookup::Hit(entry.clone());
+            }
+            let pending = key.get_or_insert_with(|| (Arc::clone(fingerprint), stmt.clone(), post));
+            if state.inflight.contains(pending) {
+                #[cfg(test)]
+                self.waits.fetch_add(1, Ordering::Relaxed);
+                state = stripe.ready.wait(state).unwrap();
+                continue;
+            }
+            state.inflight.insert(pending.clone());
+            return Lookup::Compute(InFlight {
+                store: self,
+                key: key.take(),
+            });
+        }
     }
 
     // ------------------------------------------------------------------
@@ -286,9 +361,9 @@ impl WpStore {
     /// deterministic artifact sort the result themselves.
     pub fn export_entries(&self) -> Vec<WpExportEntry> {
         let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let shard = shard.lock().unwrap();
-            for (fingerprint, by_stmt) in shard.iter() {
+        for stripe in self.shards.iter() {
+            let state = stripe.state.lock().unwrap();
+            for (fingerprint, by_stmt) in state.map.iter() {
                 for (stmt, by_post) in by_stmt {
                     for (&post, (result, _session)) in by_post {
                         out.push((Arc::clone(fingerprint), stmt.clone(), post, result.clone()));
@@ -310,8 +385,9 @@ impl WpStore {
         }
         let mut inserted = 0;
         for (fingerprint, stmt, post, result) in entries {
-            let mut shard = self.shard(&fingerprint, &stmt).lock().unwrap();
-            let by_post = shard
+            let mut state = self.stripe(&fingerprint, &stmt).state.lock().unwrap();
+            let by_post = state
+                .map
                 .entry(fingerprint)
                 .or_default()
                 .entry(stmt)
@@ -329,10 +405,12 @@ impl WpStore {
     pub fn entry_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|shard| {
-                shard
+            .map(|stripe| {
+                stripe
+                    .state
                     .lock()
                     .unwrap()
+                    .map
                     .values()
                     .flat_map(|by_stmt| by_stmt.values())
                     .map(|by_post| by_post.len())
@@ -388,8 +466,8 @@ impl WpCache {
 
     /// Returns the memoized `wp(stmt, post)` under `stmt`'s lowering
     /// fingerprint for `table`, computing and recording it on a miss. The
-    /// computation runs outside the stripe lock; a racing duplicate computes
-    /// the same pure result, so last-write-wins is harmless.
+    /// computation runs outside the stripe lock; a worker asking for the
+    /// same key meanwhile waits for it and counts a hit.
     pub fn get_or_compute(
         &self,
         stmt: &Stmt,
@@ -419,21 +497,23 @@ impl WpCache {
             let _span = expresso_obs::span!("vcgen.wp");
             return compute();
         }
-        if let Some((cached, inserted_by)) = self.store.lookup(fingerprint, stmt, post) {
-            let cross = inserted_by != self.analysis;
-            let disk = inserted_by == DISK_SESSION;
-            self.counters.record(true, cross, disk);
-            self.store.counters.record(true, cross, disk);
-            return cached;
-        }
+        let registration = match self.store.begin(fingerprint, stmt, post) {
+            Lookup::Hit((cached, inserted_by)) => {
+                let cross = inserted_by != self.analysis;
+                let disk = inserted_by == DISK_SESSION;
+                self.counters.record(true, cross, disk);
+                self.store.counters.record(true, cross, disk);
+                return cached;
+            }
+            Lookup::Compute(registration) => registration,
+        };
         let result = {
             let _span = expresso_obs::span!("vcgen.wp");
             compute()
         };
         self.counters.record(false, false, false);
         self.store.counters.record(false, false, false);
-        self.store
-            .insert(fingerprint, stmt, post, (result.clone(), self.analysis));
+        registration.complete((result.clone(), self.analysis));
         result
     }
 }
@@ -475,6 +555,64 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (2, 1));
         assert_eq!(stats.cross_monitor_hits, 0);
         assert!(stats.hit_rate() > 0.5);
+    }
+
+    #[test]
+    fn a_racing_lookup_waits_for_the_computation_in_flight() {
+        // The second worker asks while the first is still computing; it must
+        // be served the first worker's result rather than compute again.
+        let interner = Interner::new();
+        let post = interner.true_id();
+        let (table, cache) = (&table(), &WpCache::new(true));
+        let (started, wait_started) = std::sync::mpsc::channel();
+        let (release, wait_release) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(move || {
+                cache.get_or_compute(&skip(), table, post, || {
+                    started.send(()).unwrap();
+                    wait_release.recv().unwrap();
+                    Ok(post)
+                })
+            });
+            wait_started.recv().unwrap();
+            let second = scope.spawn(|| {
+                cache.get_or_compute(&skip(), table, post, || {
+                    panic!("the key is in flight on the other worker")
+                })
+            });
+            // Finish the first computation only once the second lookup waits
+            // for it (or, wrongly, has finished without waiting).
+            while cache.store().waits.load(Ordering::Relaxed) == 0 && !second.is_finished() {
+                std::thread::yield_now();
+            }
+            release.send(()).unwrap();
+            assert_eq!(first.join().unwrap(), Ok(post));
+            assert_eq!(second.join().unwrap(), Ok(post));
+        });
+        assert_eq!(cache.store().waits.load(Ordering::Relaxed), 1);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn a_panicking_computation_releases_its_key() {
+        let interner = Interner::new();
+        let post = interner.true_id();
+        let table = table();
+        let cache = WpCache::new(true);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_compute(&skip(), &table, post, || panic!("computation failed"))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(
+            cache.get_or_compute(&skip(), &table, post, || Ok(post)),
+            Ok(post)
+        );
+        assert_eq!(
+            cache.get_or_compute(&skip(), &table, post, || Ok(post)),
+            Ok(post)
+        );
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

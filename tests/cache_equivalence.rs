@@ -319,6 +319,33 @@ fn suite_run_shares_wp_work_across_monitors() {
 }
 
 #[test]
+fn pool_suite_runs_compute_each_wp_entry_once() {
+    // Concurrent analyses on the pool wait for a WP entry another worker is
+    // computing instead of computing it again, so every pool run reports
+    // exactly the hit and miss counts of the sequential run.
+    let monitors: Vec<_> = all().iter().map(|b| b.monitor()).collect();
+    let wp_counts = |threads: usize| {
+        let pipeline = Expresso::with_config(ExpressoConfig {
+            analysis_threads: threads,
+            ..ExpressoConfig::default()
+        });
+        let context = SharedAnalysisContext::new(pipeline.config());
+        let outcomes = pipeline.analyze_suite(&context, &monitors);
+        assert!(outcomes.iter().all(|o| o.is_ok()));
+        let stats = context.wp_stats();
+        (stats.hits, stats.misses)
+    };
+    let sequential = wp_counts(1);
+    for run in 0..3 {
+        assert_eq!(
+            wp_counts(0),
+            sequential,
+            "pool run {run}: WP (hits, misses)"
+        );
+    }
+}
+
+#[test]
 fn cached_run_reports_a_nonzero_hit_rate() {
     let rw = all()
         .into_iter()

@@ -5,7 +5,9 @@
 //! and the leveled log capture hook.
 //!
 //! Span recording and log capture are process-global (one `AtomicBool`, one
-//! capture slot), so every test that toggles them serialises on [`GLOBALS`].
+//! capture slot), so every test that toggles them serialises on [`GLOBALS`],
+//! and so does every test that runs instrumented code: its spans would
+//! otherwise land in another test's recording window.
 
 use expresso_repro::core::{Expresso, SharedAnalysisContext};
 use expresso_repro::loadgen::{measure, EngineKind, LoadConfig};
@@ -161,7 +163,8 @@ fn eight_thread_stress_loses_no_record() {
 
 #[test]
 fn metrics_registry_unifies_the_analysis_stats() {
-    // No recorder/log globals involved: the registry is instance-scoped.
+    // The registry is instance-scoped, but the analysis records spans.
+    let _guard = GLOBALS.lock().unwrap();
     let pipeline = Expresso::new();
     let context = SharedAnalysisContext::new(pipeline.config());
     pipeline
@@ -205,6 +208,7 @@ fn metrics_registry_unifies_the_analysis_stats() {
 
 #[test]
 fn loadgen_report_exposes_the_quantile_table_as_metrics() {
+    let _guard = GLOBALS.lock().unwrap();
     let bench = benchmark("ReadersWriters");
     let explicit = Expresso::new()
         .analyze(&bench.monitor())
